@@ -196,6 +196,12 @@ func (st *State) FlipBit(bit int) {
 	st.words[bit>>6] ^= 1 << (uint(bit) & 63)
 }
 
+// AppendWords appends the packed state to dst, 64 bits per word: bit i is
+// bit i%64 of word i/64, and bits past NumBits are zero.
+func (st *State) AppendWords(dst []uint64) []uint64 {
+	return append(dst, st.words...)
+}
+
 // Bit reads one bit.
 func (st *State) Bit(bit int) uint64 {
 	return (st.words[bit>>6] >> (uint(bit) & 63)) & 1

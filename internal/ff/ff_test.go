@@ -151,6 +151,19 @@ func TestFlipBit(t *testing.T) {
 	}
 }
 
+func TestAppendWords(t *testing.T) {
+	s := NewSpace()
+	s.Alloc("u", "lo", 60)
+	s.Alloc("u", "hi", 10)
+	st := s.NewState()
+	st.FlipBit(3)
+	st.FlipBit(65)
+	got := st.AppendWords([]uint64{7})
+	if len(got) != 3 || got[0] != 7 || got[1] != 1<<3 || got[2] != 1<<1 {
+		t.Fatalf("AppendWords = %#x, want [0x7 0x8 0x2]", got)
+	}
+}
+
 func TestStateCloneEqualReset(t *testing.T) {
 	s := NewSpace()
 	f := s.Alloc("u", "x", 40)
