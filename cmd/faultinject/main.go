@@ -22,7 +22,6 @@ import (
 	"clear/internal/obs"
 	"clear/internal/resilient"
 	"clear/internal/stats"
-	"clear/internal/tcode"
 )
 
 func main() {
@@ -41,12 +40,9 @@ func main() {
 		"serve /metrics, /debug/vars and /debug/pprof on this address during the campaign (e.g. 127.0.0.1:9090; empty = off)")
 	traceOut := flag.String("trace-out", "",
 		"write a JSONL campaign trace to this file (empty = off)")
-	compiled := flag.Bool("compiled", true,
-		"execute programs as pre-translated threaded code (false = decode-switch interpreter; bit-identical escape hatch)")
 	packed := flag.Bool("packed", true,
 		"batch campaign injections into 64-way gangs with shared prefix replay (false = scalar loop; bit-identical escape hatch)")
 	flag.Parse()
-	tcode.SetEnabled(*compiled)
 	inject.Packed = *packed
 
 	var kind inject.CoreKind

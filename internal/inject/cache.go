@@ -60,7 +60,10 @@ func CacheDir() string {
 	return cacheDirPath
 }
 
-func cacheKey(cfg Config, p *prog.Program) string {
+// CacheKey returns the cache file name of the campaign cfg over program p:
+// core, benchmark and tag in clear, then an FNV-64a hash of the
+// configuration and the exact program binary (code and data words).
+func CacheKey(cfg Config, p *prog.Program) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|%s|%d|%d|", cfg.Core, cfg.Bench, cfg.Tag, cfg.SamplesPerFF, cfg.Seed)
 	for _, w := range p.Words {
@@ -201,7 +204,7 @@ func Campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.C
 func (in *Injector) Campaign(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
 	start := time.Now()
 	wantModel, _ := SplitModelTag(cfg.Tag)
-	path := filepath.Join(CacheDir(), cacheKey(cfg, p))
+	path := filepath.Join(CacheDir(), CacheKey(cfg, p))
 	if data, err := os.ReadFile(path); err == nil {
 		r, gotModel, derr := decodeCache(data)
 		if derr == nil && r.Config == cfg && gotModel == wantModel && r.NomCycles > 0 &&

@@ -177,7 +177,7 @@ func TestCampaignCacheRejectsForeign(t *testing.T) {
 	// foreign Config at cfgB's path: must be rejected and regenerated
 	cfgB := cfgA
 	cfgB.Seed = 2
-	pathB := filepath.Join(dir, cacheKey(cfgB, p))
+	pathB := filepath.Join(dir, CacheKey(cfgB, p))
 	plant(rA, pathB)
 	rB, err := Campaign(cfgB, p, nil)
 	if err != nil {

@@ -455,7 +455,7 @@ func TestCampaignRejectsCrossModelCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, cacheKey(ssbCfg, p))
+	path := filepath.Join(dir, CacheKey(ssbCfg, p))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}

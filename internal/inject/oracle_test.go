@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"clear/internal/bench"
-	"clear/internal/ino"
 	"clear/internal/isa"
 	"clear/internal/ooo"
 	"clear/internal/prog"
@@ -171,7 +170,7 @@ func observeAt(at int, flush bool) oracleEvent {
 		}
 		c.InFlight(nil)
 		if flush {
-			c.(*ino.Core).FlushRecover()
+			flushRecover(c)
 		}
 	}}
 }
@@ -282,14 +281,10 @@ const oracleHeader = `# Pipeline oracle: chained state digests of both cores (Te
 // the test, so it can be inspected or diffed) and its path is logged.
 func TestPipelineOracle(t *testing.T) {
 	want := readOracleFixture(t)
-	for _, compiled := range []bool{false, true} {
-		setCompiled(t, compiled)
-		got := oracleLines(t)
-		if strings.Join(got, "\n") == strings.Join(want, "\n") {
-			continue
-		}
+	got := oracleLines(t)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		reportOracleMismatch(t, got, want)
-		t.Fatalf("compiled=%v: pipeline behaviour diverged from %s", compiled, oracleFixture)
+		t.Fatalf("pipeline behaviour diverged from %s", oracleFixture)
 	}
 }
 

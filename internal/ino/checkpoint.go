@@ -12,7 +12,7 @@ type extra struct {
 // Snapshot captures the full simulation state at the current cycle.
 func (c *Core) Snapshot() *sim.Checkpoint {
 	if c.uValid {
-		c.packU() // materialize the compiled path's latches; mirror stays current
+		c.packU() // materialize the mirror's latches; it stays current
 	}
 	return &sim.Checkpoint{
 		FF:      c.st.Clone(),
@@ -56,7 +56,7 @@ func (c *Core) Matches(ck *sim.Checkpoint) bool {
 		return false
 	}
 	if c.uValid {
-		c.packU() // materialize the compiled path's latches; mirror stays current
+		c.packU() // materialize the mirror's latches; it stays current
 	}
 	return c.cycles == ck.Cycles &&
 		c.retired == ck.Retired &&

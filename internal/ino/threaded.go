@@ -7,22 +7,18 @@ import (
 	"clear/internal/tcode"
 )
 
-// This file is the compiled-execution twin of Step in ino.go: the same
-// pipeline, cycle for cycle and bit for bit, but every isa.Decode call and
-// execute-stage switch is replaced by a pre-translated tcode.DInst lookup,
-// and the latches live in the unpacked mirror (unpacked.go) instead of the
-// packed bit array — packed state is materialized only at observation
-// points. The interpreter in ino.go is deliberately left untouched so the
-// two paths stay independently checkable (FuzzThreadedEquivalence pins them
-// to each other) and `-compiled=false` falls back to genuinely different
-// code.
+// This file is the in-order pipeline's clock: Step runs every stage on the
+// unpacked latch mirror (unpacked.go) rather than the packed bit array,
+// which is materialized only at observation points, and every decode is a
+// pre-translated tcode.DInst lookup instead of a decode switch.
+// TestPipelineOracle pins the behaviour cycle by cycle, fault-free and under
+// injected flips, to committed state digests.
 
 // dec returns the translation of latch word w whose stage believes it sits
 // at pc. The per-PC table hits whenever the latch is uncorrupted program
 // text (virtually every decode of a fault-free run); anything else —
 // injected flips, bubbles, out-of-range fetch words — compiles through the
-// core's decode cache. Both paths are pure functions of w, so corrupted
-// words behave exactly as under isa.Decode.
+// core's decode cache. Both paths are pure functions of w.
 func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	if d := c.tp.AtPC(pc, w); d != nil {
 		return d
@@ -30,9 +26,8 @@ func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	return c.dcache.Decode(w)
 }
 
-// stepThreaded advances the pipeline by one clock cycle, mirroring Step
-// stage for stage on the unpacked latch mirror.
-func (c *Core) stepThreaded() {
+// Step advances the pipeline by one clock cycle.
+func (c *Core) Step() {
 	if c.done {
 		return
 	}

@@ -18,8 +18,8 @@ type extra struct {
 // Snapshot captures the full simulation state at the current cycle.
 func (c *Core) Snapshot() *sim.Checkpoint {
 	if c.uValid {
-		// materialize the packed view; the mirror stays current, so a
-		// subsequent compiled step needn't re-unpack
+		// materialize the packed view; the mirror stays current, so the
+		// next step needn't re-unpack
 		c.packU()
 	}
 	return &sim.Checkpoint{

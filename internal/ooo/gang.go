@@ -57,10 +57,10 @@ func (c *Core) pcView() uint32 {
 // memory/output/SRAM side state (the predictor and cache-metadata arrays
 // carry no architectural values but steer latencies and redirects, so they
 // gate reconvergence exactly as they do in Matches). A zero result
-// certifies bit-for-bit identical full state. When both cores run
-// compiled, the latch comparison is a single struct equality over the
-// unpacked mirrors; mixed representations are packed first (the mirror
-// stays live, exactly as in Matches).
+// certifies bit-for-bit identical full state. When both mirrors are
+// current, the latch comparison is a single struct equality over them;
+// otherwise the current mirrors are packed first (and stay live, exactly as
+// in Matches).
 func (c *Core) DiffFrom(ref sim.Core) uint8 {
 	o := ref.(*Core)
 	if c.done != o.done || c.status != o.status || c.cycles != o.cycles ||

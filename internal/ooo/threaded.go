@@ -7,20 +7,17 @@ import (
 	"clear/internal/tcode"
 )
 
-// This file holds the compiled-execution twins of every stage in core.go:
-// the same machine, cycle for cycle and bit for bit, with every isa.Decode
-// call and execute switch replaced by a pre-translated tcode.DInst lookup,
-// and every ROB/IQ/SQ/rename/latch access running on the unpacked mirror
-// (unpacked.go) instead of the packed bit array — packed state is
-// materialized only at observation points. The interpreter in core.go is
-// deliberately left untouched so the two paths stay independently checkable
-// (FuzzThreadedEquivalence pins them to each other) and `-compiled=false`
-// falls back to genuinely different code.
+// This file is the out-of-order machine's clock: every unit of Step runs on
+// the unpacked latch mirror (unpacked.go) rather than the packed bit array,
+// which is materialized only at observation points, and every decode is a
+// pre-translated tcode.DInst lookup. TestPipelineOracle pins the behaviour
+// cycle by cycle, fault-free and under injected flips, to committed state
+// digests.
 
 // dec returns the translation of instruction word w that the machine
 // associates with pc. Uncorrupted program text hits the per-PC table;
-// everything else compiles through the core's decode cache. Both are pure
-// functions of w, so corrupted words decode exactly as under isa.Decode.
+// everything else — corrupted state, out-of-range fetch words — compiles
+// through the core's decode cache. Both are pure functions of w.
 func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	if d := c.tp.AtPC(pc, w); d != nil {
 		return d
@@ -28,9 +25,8 @@ func (c *Core) dec(pc, w uint32) *tcode.DInst {
 	return c.dcache.Decode(w)
 }
 
-// stepThreaded advances the machine one clock cycle on the unpacked latch
-// mirror, mirroring Step unit for unit.
-func (c *Core) stepThreaded() {
+// Step advances the machine one clock cycle.
+func (c *Core) Step() {
 	if c.done {
 		return
 	}
@@ -39,19 +35,19 @@ func (c *Core) stepThreaded() {
 		c.uValid = true
 	}
 	c.cycles++
-	c.commitU()
+	c.commit()
 	if c.done {
 		return
 	}
-	c.loadUnitTickU()
-	c.mulPipeTickU()
-	c.executeU()
-	c.dispatchU()
-	c.fetchU()
+	c.loadUnitTick()
+	c.mulPipeTick()
+	c.execute()
+	c.dispatch()
+	c.fetch()
 }
 
-// commitU is the compiled twin of commit.
-func (c *Core) commitU() {
+// commit retires up to CommitWidth completed instructions from the ROB head.
+func (c *Core) commit() {
 	u := &c.u
 	for n := 0; n < CommitWidth; n++ {
 		count := u.robCount
@@ -128,8 +124,8 @@ func (c *Core) commitU() {
 	}
 }
 
-// broadcastU is the compiled twin of broadcast.
-func (c *Core) broadcastU(tag uint64, val uint32) {
+// broadcast wakes the issue-queue sources waiting on tag with its value.
+func (c *Core) broadcast(tag uint64, val uint32) {
 	u := &c.u
 	for i := 0; i < IQSize; i++ {
 		if u.iqValid[i] == 0 {
@@ -146,19 +142,19 @@ func (c *Core) broadcastU(tag uint64, val uint32) {
 	}
 }
 
-// completeU is the compiled twin of complete.
-func (c *Core) completeU(tag uint64, val uint32) {
+// complete marks ROB entry tag done with val and broadcasts the result.
+func (c *Core) complete(tag uint64, val uint32) {
 	u := &c.u
 	tag %= RobSize
 	u.robVal[tag] = uint64(val)
 	u.robDone[tag] = 1
-	c.broadcastU(tag, val)
+	c.broadcast(tag, val)
 	// bypass staging churn (architecturally inert)
 	u.exWb[int(tag)%6] = uint64(val)
 }
 
-// loadUnitTickU is the compiled twin of loadUnitTick.
-func (c *Core) loadUnitTickU() {
+// loadUnitTick advances the in-flight cache access by one cycle.
+func (c *Core) loadUnitTick() {
 	u := &c.u
 	if u.ldValid == 0 {
 		return
@@ -174,12 +170,12 @@ func (c *Core) loadUnitTickU() {
 	}
 	u.ldData = uint64(data)
 	u.ldDataIn[int(addr)%4] = uint64(data)
-	c.completeU(u.ldRob, data)
+	c.complete(u.ldRob, data)
 	u.ldValid = 0
 }
 
-// mulPipeTickU is the compiled twin of mulPipeTick.
-func (c *Core) mulPipeTickU() {
+// mulPipeTick advances the multiplier pipeline by one stage.
+func (c *Core) mulPipeTick() {
 	u := &c.u
 	// retire from the last stage
 	if u.muV[3] == 1 {
@@ -192,7 +188,7 @@ func (c *Core) mulPipeTickU() {
 		} else {
 			val = uint32(p)
 		}
-		c.completeU(u.muRob[3], val)
+		c.complete(u.muRob[3], val)
 		u.muV[3] = 0
 	}
 	// shift earlier stages forward
@@ -208,8 +204,14 @@ func (c *Core) mulPipeTickU() {
 	}
 }
 
-// executeU is the compiled twin of execute.
-func (c *Core) executeU() {
+// readyEntry describes an issue-queue entry eligible for selection.
+type readyEntry struct {
+	iq  int
+	age uint64
+}
+
+// execute selects ready issue-queue entries oldest first and runs them.
+func (c *Core) execute() {
 	u := &c.u
 	head := u.robHead % RobSize
 
@@ -249,7 +251,7 @@ func (c *Core) executeU() {
 			if loadPortBusy {
 				continue // structural hazard: try again next cycle
 			}
-			if !c.tryIssueLoadU(i, tag, d.In.Imm, s1, head) {
+			if !c.tryIssueLoad(i, tag, d.In.Imm, s1, head) {
 				continue
 			}
 			loadPortBusy = true
@@ -282,10 +284,10 @@ func (c *Core) executeU() {
 					break
 				}
 			}
-			c.completeU(tag, addr)
+			c.complete(tag, addr)
 			u.iqValid[i] = 0
 		case d.IsControl:
-			c.executeBranchU(i, tag, d, s1, s2)
+			c.executeBranch(i, tag, d, s1, s2)
 			// executeBranchU may squash the whole window, including our
 			// ready list; stop selecting this cycle.
 			issued++
@@ -299,7 +301,7 @@ func (c *Core) executeU() {
 				u.robExc[tag] = 1
 				u.robDone[tag] = 1
 			} else {
-				c.completeU(tag, val)
+				c.complete(tag, val)
 			}
 			u.iqValid[i] = 0
 			u.rrEx[i%6] = uint64(val)
@@ -308,9 +310,11 @@ func (c *Core) executeU() {
 	}
 }
 
-// tryIssueLoadU is the compiled twin of tryIssueLoad; imm is the load's
+// tryIssueLoad attempts to issue a load: it requires that no older store is
+// still unexecuted; it forwards from the youngest matching older store in
+// the store queue, else starts a cache access. imm is the load's
 // pre-decoded immediate.
-func (c *Core) tryIssueLoadU(iq int, tag uint64, imm int32, s1 uint32, head uint64) bool {
+func (c *Core) tryIssueLoad(iq int, tag uint64, imm int32, s1 uint32, head uint64) bool {
 	u := &c.u
 	loadAge := c.age(head, tag)
 	// memory-ordering check: any older store not yet executed blocks us
@@ -352,7 +356,7 @@ func (c *Core) tryIssueLoadU(iq int, tag uint64, imm int32, s1 uint32, head uint
 		}
 	}
 	if found {
-		c.completeU(tag, bestData)
+		c.complete(tag, bestData)
 		u.iqValid[iq] = 0
 		return true
 	}
@@ -375,8 +379,9 @@ func (c *Core) tryIssueLoadU(iq int, tag uint64, imm int32, s1 uint32, head uint
 	return true
 }
 
-// executeBranchU is the compiled twin of executeBranch.
-func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32) {
+// executeBranch resolves a control instruction, updates the predictors, and
+// squashes the window on mispredict.
+func (c *Core) executeBranch(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32) {
 	u := &c.u
 	pc := uint32(u.robPC[tag])
 	taken, target := d.Br(s1, s2, pc)
@@ -387,7 +392,7 @@ func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32)
 	if d.IsJump {
 		val = link
 	}
-	c.completeU(tag, val)
+	c.complete(tag, val)
 	u.iqValid[iq] = 0
 	u.caBr = b2u(taken)
 	u.caP[0] = uint64(target)
@@ -402,7 +407,7 @@ func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32)
 			c.gshare[h] = ctr - 1
 		}
 		// the packed field is 12 bits wide; mask the shift register exactly
-		// as ff.Field.Set truncates it on the interpreter path
+		// as ff.Field.Set would truncate it
 		u.lhist = (u.lhist<<1 | b2u(taken)) & 0xFFF
 	}
 	if taken {
@@ -475,8 +480,8 @@ func (c *Core) executeBranchU(iq int, tag uint64, d *tcode.DInst, s1, s2 uint32)
 	u.pc = uint64(next)
 }
 
-// dispatchU is the compiled twin of dispatch.
-func (c *Core) dispatchU() {
+// dispatch renames and allocates fetched instructions into the window.
+func (c *Core) dispatch() {
 	u := &c.u
 	for n := 0; n < FetchWidth; n++ {
 		if u.fbCount == 0 {
@@ -492,7 +497,7 @@ func (c *Core) dispatchU() {
 
 		needIQ := d.Valid && d.In.Op != isa.NOP && d.In.Op != isa.HALT && d.In.Op != isa.TRAPD
 		if needIQ {
-			if c.freeIQU() < 0 {
+			if c.freeIQ() < 0 {
 				return
 			}
 			if d.In.Op == isa.SW && u.sqCount >= SQSize {
@@ -527,12 +532,12 @@ func (c *Core) dispatchU() {
 		} else {
 			u.robExc[tail] = 0
 			u.robDone[tail] = 0
-			iq := c.freeIQU()
+			iq := c.freeIQ()
 			u.iqValid[iq] = 1
 			u.iqInst[iq] = uint64(word)
 			u.iqRob[iq] = tail
-			c.renameSourceU(iq, 0, d)
-			c.renameSourceU(iq, 1, d)
+			c.renameSource(iq, 0, d)
+			c.renameSource(iq, 1, d)
 			if d.In.Op == isa.SW {
 				// allocate a store-queue slot in program order
 				sqt := u.sqTail % SQSize
@@ -556,8 +561,8 @@ func (c *Core) dispatchU() {
 	}
 }
 
-// renameSourceU is the compiled twin of renameSource.
-func (c *Core) renameSourceU(iq, k int, d *tcode.DInst) {
+// renameSource fills IQ source slot k (0 or 1) for instruction d.
+func (c *Core) renameSource(iq, k int, d *tcode.DInst) {
 	u := &c.u
 	var reg uint8
 	var used bool
@@ -574,8 +579,8 @@ func (c *Core) renameSourceU(iq, k int, d *tcode.DInst) {
 			u.iqS2Tag[iq], u.iqS2Rdy[iq], u.iqS2Val[iq] = tagV, rdyV, valV
 		}
 	}
-	// the interpreter leaves the tag slot untouched on the ready paths;
-	// preserve the stale tag bits so the packed layouts stay identical
+	// the ready paths leave the tag slot untouched: preserve the stale tag
+	// bits, which stay observable in the packed state
 	if k == 0 {
 		tagV = u.iqS1Tag[iq]
 	} else {
@@ -610,8 +615,8 @@ func (c *Core) renameSourceU(iq, k int, d *tcode.DInst) {
 	setSlot()
 }
 
-// freeIQU is the compiled twin of freeIQ.
-func (c *Core) freeIQU() int {
+// freeIQ returns the index of a free issue-queue entry, or -1.
+func (c *Core) freeIQ() int {
 	for i := 0; i < IQSize; i++ {
 		if c.u.iqValid[i] == 0 {
 			return i
@@ -620,8 +625,8 @@ func (c *Core) freeIQU() int {
 	return -1
 }
 
-// fetchU is the compiled twin of fetch.
-func (c *Core) fetchU() {
+// fetch fills the fetch buffer along the predicted path.
+func (c *Core) fetch() {
 	u := &c.u
 	for n := 0; n < FetchWidth; n++ {
 		if u.fbCount >= FBSize {

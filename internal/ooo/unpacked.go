@@ -1,24 +1,23 @@
 package ooo
 
 // uLatches mirrors every flip-flop field of regs as a plain machine word.
-// Compiled execution (threaded.go) runs the whole
+// The pipeline (threaded.go) runs the whole
 // fetch/rename/issue/execute/writeback/commit loop on this struct and
 // touches the packed ff.State only at observation points: State(),
 // Snapshot(), Matches(), Restore() and Reset() synchronize the two
 // representations, so every external view of the core — fault injection,
-// checkpointing, convergence pruning, state-equality tests — still sees the
-// exact bit layout the interpreter maintains. The round trip is lossless
-// because the ff.Space allocates fields back to back with no padding bits,
-// and all values stored here are kept within their field widths (unpack
-// masks through ff.Field.Get; every pipeline write below either copies an
-// already-masked value, computes one that fits by construction, or — for
-// lhist's shift register — masks explicitly where the interpreter relied on
-// ff.Field.Set truncation).
+// checkpointing, convergence pruning, state-equality tests — sees the
+// ff.Space bit layout. The round trip is lossless because the ff.Space
+// allocates fields back to back with no padding bits, and all values stored
+// here are kept within their field widths (unpack masks through
+// ff.Field.Get; every pipeline write either copies an already-masked value,
+// computes one that fits by construction, or — for lhist's shift register —
+// masks explicitly to the field width).
 //
-// Every field is a uint64 carrying exactly the value the interpreter's
-// ff.Field.Get would return, so the compiled loop's arithmetic (modular ROB
-// ages, wrap-around head/tail pointers) is bit-identical to the
-// interpreter's uint64 arithmetic even for corrupted (injected) values.
+// Every field is a uint64 carrying exactly the value ff.Field.Get would
+// return, so the pipeline's arithmetic (modular ROB ages, wrap-around
+// head/tail pointers) on a mirror unpacked from any packed state — including
+// corrupted (injected) values — is a function of the packed bits alone.
 type uLatches struct {
 	// fetch
 	pc        uint64
@@ -262,7 +261,7 @@ func (c *Core) packU() {
 
 // syncU flushes the unpacked mirror into the packed state and invalidates
 // the mirror, so the caller (or external code holding the *ff.State) may
-// mutate packed bits freely; the next compiled step re-unpacks.
+// mutate packed bits freely; the next step re-unpacks.
 func (c *Core) syncU() {
 	if c.uValid {
 		c.packU()

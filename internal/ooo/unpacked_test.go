@@ -34,9 +34,10 @@ func TestMirrorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMirrorStaysCoherentAcrossObservations runs a compiled core while
-// hitting every observation point and asserts the packed view it exposes is
-// always identical to a lockstep interpreter twin's.
+// TestMirrorStaysCoherentAcrossObservations runs a core while hitting
+// every observation point and asserts the observations never change its
+// future: an unobserved twin must end in the same full state, and Restore
+// must leave the packed state authoritative.
 func TestMirrorStaysCoherentAcrossObservations(t *testing.T) {
 	b := isa.NewBuilder()
 	b.Li(1, 0)
@@ -53,28 +54,32 @@ func TestMirrorStaysCoherentAcrossObservations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ct := New(p) // compiled (tcode enabled by default)
-	ci := New(p)
-	ci.tp = nil // force the interpreter path on the twin
+	obs := New(p)
+	twin := New(p) // never observed until the end
 
-	for cyc := 1; cyc <= 300 && !ci.done; cyc++ {
-		ct.Step()
-		ci.Step()
-		if !ct.State().Equal(ci.State()) {
-			t.Fatalf("cycle %d: packed state diverged from interpreter", cyc)
-		}
-		if cyc%17 == 0 {
-			if !ct.Matches(ci.Snapshot()) {
-				t.Fatalf("cycle %d: Matches failed against interpreter snapshot", cyc)
+	for cyc := 1; cyc <= 300 && !twin.done; cyc++ {
+		obs.Step()
+		twin.Step()
+		switch {
+		case cyc%17 == 0:
+			ck := obs.Snapshot()
+			if !obs.uValid {
+				t.Fatalf("cycle %d: Snapshot invalidated the live mirror", cyc)
 			}
-			ck := ct.Snapshot()
-			ct.Restore(ck)
-			if ct.uValid {
+			obs.Restore(ck)
+			if obs.uValid {
 				t.Fatalf("cycle %d: Restore left the mirror marked valid", cyc)
 			}
+			if !obs.Matches(ck) {
+				t.Fatalf("cycle %d: identity Restore does not Match", cyc)
+			}
+		case cyc%5 == 0:
+			obs.State()
+		case cyc%7 == 0:
+			obs.InFlight(nil)
 		}
 	}
-	if ci.status != ct.status || !ct.Matches(ci.Snapshot()) {
-		t.Fatalf("final state diverged: interp %v vs compiled %v", ci.status, ct.status)
+	if twin.status != prog.StatusHalted || obs.status != twin.status || !twin.Matches(obs.Snapshot()) {
+		t.Fatalf("final state diverged: observed %v vs twin %v", obs.status, twin.status)
 	}
 }

@@ -8,54 +8,28 @@
 // every pipeline stage of every cycle.
 //
 // Translation is a pure function of the 32-bit instruction word, which is
-// what makes compiled execution bit-identical to the interpreter even under
-// fault injection: a flipped bit in an instruction latch produces a word
-// that simply misses the per-PC translation table and is compiled on demand
-// (memoized in a small per-core Cache), yielding exactly the semantics
-// isa.Decode plus the interpreter switches would give the corrupted word.
-// The equivalence is pinned by fuzz and campaign-level tests
-// (FuzzThreadedEquivalence, TestCompiledCampaignEquivalence).
-//
-// Compiled execution is on by default and gated by SetEnabled — the
-// `-compiled=false` escape hatch on cmd/{clearsweep,precompute,faultinject}
-// — so any suspected translation bug can be cross-checked against the
-// decode-switch interpreter, which remains untouched.
+// what keeps execution exact under fault injection: a flipped bit in an
+// instruction latch produces a word that simply misses the per-PC
+// translation table and is compiled on demand (memoized in a small per-core
+// Cache), so the corrupted word executes with exactly the semantics Compile
+// gives it — the same as if it had been program text. TestPipelineOracle in
+// internal/inject pins both cores, fault-free and under injected flips, to
+// committed state digests.
 package tcode
 
-import (
-	"sync/atomic"
-
-	"clear/internal/isa"
-)
-
-// enabled gates compiled execution process-wide. Cores consult it when they
-// (re)bind to a program, never mid-run, so toggling affects subsequently
-// reset cores only. Atomic because campaign workers construct cores
-// concurrently while tests elsewhere may flip the gate.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns compiled (threaded-code) execution on or off for cores
-// bound after the call. The interpreter and compiled paths are bit-identical;
-// the switch exists as a perf escape hatch and for equivalence testing.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether cores should execute threaded code.
-func Enabled() bool { return enabled.Load() }
+import "clear/internal/isa"
 
 // ExecFn is the in-order core's execute-stage semantics of one instruction:
-// ALU result, store value, the Y byproduct, and trap information. It mirrors
-// ino's execALU contract exactly.
+// ALU result, store value, the Y byproduct, and trap information (tt 10 for
+// a divide by zero).
 type ExecFn func(op1, op2, pc uint32) (result, storeVal, y uint32, trap bool, tt uint64)
 
 // ALUFn is the out-of-order core's single-cycle ALU semantics (loads,
-// stores, multiplies and control flow run on dedicated units there). It
-// mirrors ooo's execALU contract exactly.
+// stores, multiplies and control flow run on dedicated units there); exc
+// reports a trap condition.
 type ALUFn func(s1, s2 uint32) (val uint32, exc bool)
 
-// BranchFn resolves a control instruction: taken and target. It mirrors the
-// cores' (identical) resolveBranch contract.
+// BranchFn resolves a control instruction: taken and target.
 type BranchFn func(op1, op2, pc uint32) (taken bool, target uint32)
 
 // DInst is one instruction's complete translation: the decoded form, every
@@ -80,8 +54,8 @@ type DInst struct {
 }
 
 // Compile translates a single instruction word. It is the one place the
-// decode switches run for compiled execution; everything downstream is
-// field reads and closure calls.
+// decode switches run; everything downstream is field reads and closure
+// calls.
 func Compile(w uint32) DInst {
 	in := isa.Decode(w)
 	d := DInst{
@@ -116,9 +90,8 @@ var (
 )
 
 // compileExec bakes the in-order execute-stage semantics of in into a
-// closure. The case list mirrors ino.execALU instruction for instruction;
-// ops outside the list (nop, halt, trapd, branches) fall through to zeros
-// exactly as the interpreter's switch default does.
+// closure. Ops outside the case list (nop, halt, trapd, branches) produce
+// zeros.
 func compileExec(in isa.Inst) ExecFn {
 	imm := uint32(in.Imm)
 	simm := in.Imm
@@ -249,8 +222,8 @@ func compileExec(in isa.Inst) ExecFn {
 }
 
 // compileALU bakes the out-of-order ALU-port semantics of in into a
-// closure, mirroring ooo.execALU: multiplies, memory ops and control flow
-// are absent (dedicated units handle them) and fall through to zeros.
+// closure: multiplies, memory ops and control flow are absent (dedicated
+// units handle them) and produce zeros.
 func compileALU(in isa.Inst) ALUFn {
 	imm := uint32(in.Imm)
 	simm := in.Imm
@@ -317,8 +290,8 @@ func compileALU(in isa.Inst) ALUFn {
 	return aluZero
 }
 
-// compileBranch bakes branch resolution into a closure, mirroring the
-// cores' resolveBranch. Only control instructions receive one.
+// compileBranch bakes branch resolution into a closure. Only control
+// instructions receive one.
 func compileBranch(in isa.Inst) BranchFn {
 	imm := uint32(in.Imm)
 	simm := in.Imm
