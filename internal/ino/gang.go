@@ -12,9 +12,9 @@ var _ sim.GangCore = (*Core)(nil)
 // second in-order core bound to the same program. Both state
 // representations are copied — the packed ff.State and the unpacked latch
 // mirror with its validity flag — so the copy is exact whichever
-// representation is current, without forcing a pack/unpack round trip. The decode cache and
-// threaded translation are shared/memoized derivations of the program, not
-// state; the commit hook is left untouched, like Restore.
+// representation is current, without forcing a pack/unpack round trip. The
+// decode cache and threaded translation are shared/memoized derivations of
+// the program, not state; the commit hook is left untouched, like Restore.
 func (c *Core) CopyStateFrom(src sim.Core) {
 	s := src.(*Core)
 	c.program = s.program

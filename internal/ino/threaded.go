@@ -10,9 +10,9 @@ import (
 // This file is the in-order pipeline's clock: Step runs every stage on the
 // unpacked latch mirror (unpacked.go) rather than the packed bit array,
 // which is materialized only at observation points, and every decode is a
-// pre-translated tcode.DInst lookup instead of a decode switch.
-// TestPipelineOracle pins the behaviour cycle by cycle, fault-free and under
-// injected flips, to committed state digests.
+// pre-translated tcode.DInst lookup. TestPipelineOracle pins the behaviour
+// cycle by cycle, fault-free and under injected flips, to committed state
+// digests.
 
 // dec returns the translation of latch word w whose stage believes it sits
 // at pc. The per-PC table hits whenever the latch is uncorrupted program

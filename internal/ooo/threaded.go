@@ -153,7 +153,8 @@ func (c *Core) complete(tag uint64, val uint32) {
 	u.exWb[int(tag)%6] = uint64(val)
 }
 
-// loadUnitTick advances the in-flight cache access by one cycle.
+// loadUnitTick counts down the in-flight cache access and completes the
+// load when its latency has elapsed.
 func (c *Core) loadUnitTick() {
 	u := &c.u
 	if u.ldValid == 0 {
@@ -174,7 +175,8 @@ func (c *Core) loadUnitTick() {
 	u.ldValid = 0
 }
 
-// mulPipeTick advances the multiplier pipeline by one stage.
+// mulPipeTick completes the multiply in the last pipeline stage and moves
+// each earlier stage forward when the stage after it is free.
 func (c *Core) mulPipeTick() {
 	u := &c.u
 	// retire from the last stage
