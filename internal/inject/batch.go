@@ -28,9 +28,13 @@ package inject
 // Lanes still live at the window's end, and lanes that could not fork
 // (carrier finished first, delayed flips, out-of-range checkpoint index)
 // are likewise finished through the scalar warm bodies. Only hookless,
-// sinkless campaigns run packed: commit hooks cannot be checkpointed, and
-// the scalar per-worker-per-bit loop is what guarantees the record sink's
-// deterministic per-bit arrival order.
+// sinkless campaigns run packed. The scalar per-worker-per-bit loop is what
+// guarantees the record sink's deterministic per-bit arrival order. Hooked
+// campaigns warm-start on the scalar loop under the commit-stream guard
+// (checkpoint.go); packing them was measured (2 vCPUs) to cut the
+// campaigns-hooked benchmark from 2.1 s to 1.31 s but to raise its peak
+// heap from 1.25 to 5.9 MiB, since each of two workers then holds 64 OoO
+// lane cores of about 29 KiB — that waits on a smaller lane core.
 
 import (
 	"runtime"
@@ -211,9 +215,9 @@ func (w *gangWorker) replay(ln packedLane) {
 	var out Outcome
 	var det int
 	if ln.sc == nil {
-		out, det = w.in.runOneWarm(w.scalar, w.p, w.ref, ln.bit, ln.cycle, w.nomCycles)
+		out, det = w.in.runOneWarm(w.scalar, w.p, w.ref, ln.bit, ln.cycle, w.nomCycles, nil)
 	} else {
-		out, det = w.in.runScenarioWarm(w.scalar, w.p, w.ref, ln.sc, ln.cycle, w.nomCycles)
+		out, det = w.in.runScenarioWarm(w.scalar, w.p, w.ref, ln.sc, ln.cycle, w.nomCycles, nil)
 	}
 	w.tally(ln, out, det)
 }
@@ -299,7 +303,7 @@ func (w *gangWorker) runGang(g laneGang) {
 				// Control flow left the reference trajectory, or side state
 				// (memory/output/SRAMs) diverged: reconvergence is no longer
 				// cheap to detect, so continue the lane scalar-style.
-				out, det := w.in.finishInjected(lc, w.p, w.ref, slot[s].cycle, w.nomCycles)
+				out, det := w.in.finishInjected(lc, w.p, w.ref, slot[s].cycle, w.nomCycles, nil)
 				w.tally(slot[s], out, det)
 				live.Clear(s)
 			}
@@ -309,7 +313,7 @@ func (w *gangWorker) runGang(g laneGang) {
 	// state and run the scalar tail from here.
 	for m := live; !m.Empty(); {
 		s := m.PopLowest()
-		out, det := w.in.finishInjected(w.lane(s), w.p, w.ref, slot[s].cycle, w.nomCycles)
+		out, det := w.in.finishInjected(w.lane(s), w.p, w.ref, slot[s].cycle, w.nomCycles, nil)
 		w.tally(slot[s], out, det)
 	}
 	// Lanes whose fork point the carrier never reached (it halted first):

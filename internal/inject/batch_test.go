@@ -36,24 +36,24 @@ func runBothEngines(t testing.TB, cfg Config, p *prog.Program) (scalar, packed *
 }
 
 // requireIdentical asserts two campaign results are equal as values AND as
-// cache bytes — the packed engine's contract is byte-identical results, so
-// existing testdata/cache entries stay valid whichever engine computed them.
-func requireIdentical(t testing.TB, label string, scalar, packed *Result) {
+// cache bytes — the packed engine's and the checkpointed engine's contract
+// is byte-identical results, so existing testdata/cache entries stay valid
+// whichever engine computed them.
+func requireIdentical(t testing.TB, label string, want, got *Result) {
 	t.Helper()
-	if !reflect.DeepEqual(scalar, packed) {
-		t.Fatalf("%s: packed result differs from scalar\nscalar: %+v\npacked: %+v",
-			label, scalar.Totals, packed.Totals)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: results differ\nwant: %+v\ngot:  %+v", label, want.Totals, got.Totals)
 	}
-	bs, err := encodeCache(scalar)
+	bw, err := encodeCache(want)
 	if err != nil {
-		t.Fatalf("%s: encode scalar: %v", label, err)
+		t.Fatalf("%s: encode: %v", label, err)
 	}
-	bp, err := encodeCache(packed)
+	bg, err := encodeCache(got)
 	if err != nil {
-		t.Fatalf("%s: encode packed: %v", label, err)
+		t.Fatalf("%s: encode: %v", label, err)
 	}
-	if !bytes.Equal(bs, bp) {
-		t.Fatalf("%s: cache bytes differ between engines", label)
+	if !bytes.Equal(bw, bg) {
+		t.Fatalf("%s: cache bytes differ", label)
 	}
 }
 

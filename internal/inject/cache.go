@@ -210,7 +210,7 @@ func (in *Injector) Campaign(cfg Config, p *prog.Program, hookFactory func(*prog
 		if derr == nil && r.Config == cfg && gotModel == wantModel && r.NomCycles > 0 &&
 			len(r.PerFF) == SpaceBits(cfg.Core) {
 			in.cacheHits.Add(1)
-			in.traceCampaign(cfg, r, "cache", time.Since(start))
+			in.traceCampaign(cfg, r, "cache", "", time.Since(start))
 			return r, nil
 		}
 		if derr != nil {
@@ -220,11 +220,11 @@ func (in *Injector) Campaign(cfg Config, p *prog.Program, hookFactory func(*prog
 		}
 	}
 	in.cacheMisses.Add(1)
-	r, err := in.Run(cfg, p, hookFactory)
+	r, enginePath, err := in.run(cfg, p, hookFactory)
 	if err != nil {
 		return nil, err
 	}
-	in.traceCampaign(cfg, r, "run", time.Since(start))
+	in.traceCampaign(cfg, r, "run", enginePath, time.Since(start))
 	if data, encErr := encodeCache(r); encErr == nil {
 		if err := os.MkdirAll(CacheDir(), 0o755); err == nil {
 			tmp, err := os.CreateTemp(CacheDir(), "campaign-*")

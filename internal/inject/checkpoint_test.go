@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"clear/internal/archres"
 	"clear/internal/bench"
 	"clear/internal/prog"
 	"clear/internal/sim"
@@ -23,8 +24,9 @@ func setInterval(t testing.TB, v int) {
 // boundsHook returns a stateful commit hook modeled on an architecture-level
 // value checker: it tracks how many instructions retired and flags any
 // committed result above a bound the fault-free run never reaches. The
-// internal counter makes the hook impossible to warm-start from a mid-run
-// checkpoint, exercising the exact-path fallback.
+// internal counter makes its verdict depend on the whole event history, so
+// a warm-started run gets it right only if the commit-stream guard replays
+// the reference prefix into it before handing it the first deviating event.
 func boundsHook(bound uint32) func(*prog.Program) sim.CommitHook {
 	return func(*prog.Program) sim.CommitHook {
 		n := 0
@@ -67,8 +69,8 @@ func TestRunOneFromEquivalence(t *testing.T) {
 					kind, bit, cycle, o1, d1, o2, d2)
 			}
 		}
-		// hook-carrying runs must keep the exact from-reset path and still
-		// agree classification-for-classification
+		// hook-carrying runs warm-start under the commit-stream guard and
+		// must still agree classification-for-classification
 		for s := 0; s < 50; s++ {
 			h := splitmix64(uint64(s) ^ 0xB00F)
 			bit := int(h % uint64(nBits))
@@ -116,25 +118,48 @@ func TestCampaignBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCampaignBitIdenticalHooked covers the hook-carrying campaign: the
-// checkpointed engine must leave it byte-identical too (it keeps the exact
-// from-reset path).
+// TestCampaignBitIdenticalHooked pins the commit-stream guard: campaigns
+// carrying the real architecture-level checkers (DFC and the monitor core)
+// on both cores must produce DeepEqual results and identical cache bytes
+// whether every injection replays from reset (CheckpointInterval 0, the
+// checker attached from cycle 0) or warm-starts and prunes under the guard.
+// The mbu row sends the scenario path through the guard as well. A prune
+// that ignored commit-stream deviation turns detected injections into
+// Vanished ones on OoO DFC.
 func TestCampaignBitIdenticalHooked(t *testing.T) {
-	p := tinyProgram(t)
-	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 7}
-	hf := boundsHook(1 << 20)
-	setInterval(t, 0)
-	r0, err := Run(cfg, p, hf)
-	if err != nil {
-		t.Fatal(err)
+	p := bench.ByName("inner_product").MustProgram()
+	cases := []struct {
+		kind CoreKind
+		tag  string
+		hf   func(*prog.Program) sim.CommitHook
+	}{
+		{InO, "dfc", archres.DFCHookFactory()},
+		{InO, "mon", archres.MonitorHookFactory()},
+		{OoO, "dfc", archres.DFCHookFactory()},
+		{OoO, "mon", archres.MonitorHookFactory()},
+		{InO, "mbu/dfc", archres.DFCHookFactory()},
 	}
-	CheckpointInterval = 256
-	r1, err := Run(cfg, p, hf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r0.Totals != r1.Totals {
-		t.Fatalf("hooked campaign differs: %+v vs %+v", r0.Totals, r1.Totals)
+	for _, tc := range cases {
+		label := tc.kind.String() + "/" + tc.tag
+		cfg := Config{Core: tc.kind, Bench: "inner_product", Tag: tc.tag, SamplesPerFF: 1, Seed: 7}
+		setInterval(t, 0)
+		cold, err := Run(cfg, p, tc.hf)
+		if err != nil {
+			t.Fatalf("%s cold: %v", label, err)
+		}
+		CheckpointInterval = 256
+		in := NewInjector()
+		warm, err := in.Run(cfg, p, tc.hf)
+		if err != nil {
+			t.Fatalf("%s warm: %v", label, err)
+		}
+		requireIdentical(t, label, cold, warm)
+		if warm.Totals.ED == 0 {
+			t.Fatalf("%s: the checker never fired, so the guard went untested", label)
+		}
+		if pruned, _ := in.PruneStats(); pruned == 0 {
+			t.Fatalf("%s: no injection was pruned under the guard", label)
+		}
 	}
 }
 

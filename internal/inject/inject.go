@@ -250,14 +250,18 @@ const nomBudget = 8_000_000
 // (mbu, uncore, set — see model.go); the unprefixed form is the paper's
 // single-bit model and runs the exact legacy path.
 //
-// Hookless campaigns amortize simulation work through the fault-free
+// Every campaign amortizes simulation work through the fault-free
 // reference trajectory (see CheckpointInterval and RunOneFrom): each
 // injection warm-starts from the nearest snapshot and prunes as soon as its
-// state reconverges with the reference. Hookless, sinkless campaigns
-// further batch up to 64 same-window injections into gangs that share one
-// carrier replay of the window prefix and gang-prune reconverged lanes
-// every cycle (see Packed and batch.go). Results are bit-for-bit identical
-// to the from-reset path for a fixed Config.Seed.
+// state reconverges with the reference. A hooked campaign's checker runs
+// beside the recorder on the nominal run, which must stay undetected, and
+// each injection is guarded by the recorded commit stream: the checker
+// runs only once the stream deviates, and a prune needs the stream to be
+// undeviated (see commitGuard). Hookless, sinkless campaigns further batch
+// up to 64 same-window injections into gangs that share one carrier replay
+// of the window prefix and gang-prune reconverged lanes every cycle (see
+// Packed and batch.go). Results are bit-for-bit identical to the
+// from-reset path for a fixed Config.Seed.
 //
 // The package-level function counts against the default injection scope;
 // use the Injector method to attribute the work to a specific scope.
@@ -270,11 +274,25 @@ func Run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.Commit
 // the campaign — they never feed back into it, so results are identical
 // whichever scope runs the campaign.
 func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, error) {
+	r, _, err := in.run(cfg, p, hookFactory)
+	return r, err
+}
+
+// Campaign engine paths, as named by the "path" field of campaign trace
+// records.
+const (
+	pathPacked = "packed" // gang-batched engine (batch.go)
+	pathWarm   = "warm"   // scalar loop warm-started from the reference
+	pathCold   = "cold"   // scalar loop replaying from reset (CheckpointInterval 0)
+)
+
+// run is Run, also reporting the engine path the campaign took.
+func (in *Injector) run(cfg Config, p *prog.Program, hookFactory func(*prog.Program) sim.CommitHook) (*Result, string, error) {
 	if p.Expected == nil {
-		return nil, fmt.Errorf("inject: %s has no golden output", p.Name)
+		return nil, "", fmt.Errorf("inject: %s has no golden output", p.Name)
 	}
 	if cfg.SamplesPerFF < 0 || cfg.SamplesPerFF > math.MaxUint16 {
-		return nil, fmt.Errorf("inject: SamplesPerFF %d outside the per-FF counter range [0, %d]",
+		return nil, "", fmt.Errorf("inject: SamplesPerFF %d outside the per-FF counter range [0, %d]",
 			cfg.SamplesPerFF, math.MaxUint16)
 	}
 	// Resolve the fault model from the tag's "<model>/" prefix (see
@@ -289,29 +307,10 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 		env = EnvFor(cfg.Core)
 		strikes = model.Bits(env)
 	}
-	var ref *Reference
-	var nomRes prog.Result
-	var nomRet int64
-	if hookFactory == nil && CheckpointInterval > 0 {
-		var nomC sim.Core
-		var refErr error
-		ref, nomRes, nomC, refErr = buildReferenceCore(cfg.Core, p, CheckpointInterval, nomBudget)
-		if refErr != nil {
-			return nil, refErr
-		}
-		nomRet = nomC.Retired()
-	} else {
-		nom := NewCore(cfg.Core, p)
-		if hookFactory != nil {
-			nom.SetCommitHook(hookFactory(p))
-		}
-		nomRes = nom.Run(nomBudget)
-		nomRet = nom.Retired()
+	ref, nomCycles, nomRet, err := nominalRun(cfg.Core, p, cfg.Bench, cfg.Tag, hookFactory)
+	if err != nil {
+		return nil, "", err
 	}
-	if nomRes.Status != prog.StatusHalted || !p.OutputsEqual(nomRes.Output) {
-		return nil, fmt.Errorf("inject: nominal run of %s/%s failed: %v", cfg.Bench, cfg.Tag, nomRes.Status)
-	}
-	nomCycles := nomRes.Steps
 	nBits := SpaceBits(cfg.Core)
 	// The strike population: every flip-flop, unless the model restricts
 	// it (uncore). PerFF is always full-space sized and indexed by the
@@ -328,16 +327,22 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 		PerFF:     make([]FFStats, nBits),
 	}
 
-	// Eligible campaigns run on the packed (gang-batched) engine — see
-	// batch.go for the eligibility reasoning. Results are bit-identical to
-	// the scalar loop below, which remains both the -packed=false escape
-	// hatch and the path for hooked or sink-carrying campaigns.
-	if Packed && hookFactory == nil && in.Sink == nil &&
-		ref != nil && ref.Interval > 0 && len(ref.Ckpts) > 0 {
+	// Eligible campaigns run on the packed (gang-batched) engine. Results
+	// are bit-identical to the scalar loop below, which remains both the
+	// -packed=false escape hatch and the path for hooked or sink-carrying
+	// campaigns. Hooked ones stay scalar for memory: packed, each worker
+	// holds a 64-lane core pool, which was measured to take the
+	// campaigns-hooked benchmark's peak heap from 1.25 to 5.9 MiB (see
+	// batch.go).
+	if Packed && hookFactory == nil && in.Sink == nil && ref.usable() {
 		if in.runPacked(res, cfg, p, ref, nomCycles, nStrikes, strikes, ssb, model, env) {
 			in.addOutcomes(res.Totals)
-			return res, nil
+			return res, pathPacked, nil
 		}
+	}
+	path := pathCold
+	if ref.usable() {
+		path = pathWarm
 	}
 
 	workers := runtime.GOMAXPROCS(0)
@@ -353,6 +358,7 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 		go func() {
 			defer wg.Done()
 			core := NewCore(cfg.Core, p)
+			g := newCommitGuard(hookFactory, ref, p)
 			// Tallies are indexed by the compact strike population, not the
 			// full flip-flop space: a restricted model (uncore) strikes a
 			// few hundred bits and must not pay a full-space slice per
@@ -372,10 +378,10 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 						var out Outcome
 						var det int
 						if ssb {
-							out, det = in.RunOneFrom(core, p, ref, bit, cycle, nomCycles, hookFactory)
+							out, det = in.runOneFrom(core, p, ref, bit, cycle, nomCycles, g)
 						} else {
 							sc := model.Expand(env, bit, cycle, h)
-							out, det = in.RunScenarioFrom(core, p, ref, sc, cycle, nomCycles, hookFactory)
+							out, det = in.runScenarioFrom(core, p, ref, sc, cycle, nomCycles, g)
 						}
 						if out == ED && det >= cycle {
 							latSum += int64(det - cycle)
@@ -426,7 +432,37 @@ func (in *Injector) Run(cfg Config, p *prog.Program, hookFactory func(*prog.Prog
 	close(chunks)
 	wg.Wait()
 	in.addOutcomes(res.Totals)
-	return res, nil
+	return res, path, nil
+}
+
+// nominalRun performs a campaign's fault-free run with its checker
+// attached and returns its cycle and retired-instruction counts. While
+// checkpointing is on it builds the reference trajectory, commit stream
+// included, which warm-starts and guards every injection; with
+// CheckpointInterval 0 the Reference is nil and injections replay from
+// reset. A run that does not halt with the golden output is an error,
+// including one the checker flags.
+func nominalRun(k CoreKind, p *prog.Program, bench, tag string,
+	hookFactory func(*prog.Program) sim.CommitHook) (*Reference, int, int64, error) {
+	var ref *Reference
+	var res prog.Result
+	var c sim.Core
+	if CheckpointInterval > 0 {
+		var err error
+		if ref, res, c, err = buildReferenceCore(k, p, CheckpointInterval, nomBudget, hookFactory); err != nil {
+			return nil, 0, 0, err
+		}
+	} else {
+		c = NewCore(k, p)
+		if hookFactory != nil {
+			c.SetCommitHook(hookFactory(p))
+		}
+		res = c.Run(nomBudget)
+	}
+	if res.Status != prog.StatusHalted || !p.OutputsEqual(res.Output) {
+		return nil, 0, 0, fmt.Errorf("inject: nominal run of %s/%s failed: %v", bench, tag, res.Status)
+	}
+	return ref, res.Steps, c.Retired(), nil
 }
 
 // RunPair performs a single-event multiple-upset (SEMU) injection: two

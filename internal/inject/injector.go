@@ -145,7 +145,8 @@ func (in *Injector) addOutcomes(c Counts) {
 
 // campaignRecord is the JSONL trace schema of one Campaign call (type
 // "campaign"). DurationMS is the only field expected to differ between
-// two identical runs.
+// two identical runs. Path names the engine a computed campaign took (see
+// Run) and is absent on cache hits, which run no engine.
 type campaignRecord struct {
 	Type         string `json:"type"` // "campaign"
 	Core         string `json:"core"`
@@ -153,7 +154,8 @@ type campaignRecord struct {
 	Tag          string `json:"tag"`
 	SamplesPerFF int    `json:"samples_per_ff"`
 	Seed         uint64 `json:"seed"`
-	Source       string `json:"source"` // "cache" or "run"
+	Source       string `json:"source"`         // "cache" or "run"
+	Path         string `json:"path,omitempty"` // engine of a run: "packed", "warm" or "cold"
 	NomCycles    int    `json:"nom_cycles"`
 	Injections   int    `json:"injections"`
 	Vanished     int    `json:"vanished"`
@@ -165,7 +167,7 @@ type campaignRecord struct {
 }
 
 // traceCampaign emits the campaign trace record when a sink is attached.
-func (in *Injector) traceCampaign(cfg Config, r *Result, source string, elapsed time.Duration) {
+func (in *Injector) traceCampaign(cfg Config, r *Result, source, path string, elapsed time.Duration) {
 	if in.Tracer == nil {
 		return
 	}
@@ -177,6 +179,7 @@ func (in *Injector) traceCampaign(cfg Config, r *Result, source string, elapsed 
 		SamplesPerFF: cfg.SamplesPerFF,
 		Seed:         cfg.Seed,
 		Source:       source,
+		Path:         path,
 		NomCycles:    r.NomCycles,
 		Injections:   r.Totals.N,
 		Vanished:     r.Totals.Vanished,

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"clear/internal/obs"
+	"clear/internal/prog"
+	"clear/internal/sim"
 )
 
 // TestInjectorScopedCounters is the regression test for the counter
@@ -106,42 +108,59 @@ func TestInjectorInstrumentNames(t *testing.T) {
 
 // TestInjectorCampaignTrace checks the JSONL campaign records: one per
 // Campaign call, source "run" for computed and "cache" for replayed, with
-// outcome totals that match the result.
+// outcome totals that match the result, and the engine path each computed
+// campaign took — packed for a hookless one, warm for a hooked one, cold
+// with checkpointing off — absent on a cache hit.
 func TestInjectorCampaignTrace(t *testing.T) {
 	t.Setenv("CLEAR_CACHE_DIR", t.TempDir())
 	p := tinyProgram(t)
 	cfg := Config{Core: InO, Bench: "tiny", SamplesPerFF: 1, Seed: 44}
+	hooked := cfg
+	hooked.Tag = "bounds"
+	cold := cfg
+	cold.Tag = "cold"
 
 	var buf bytes.Buffer
 	in := NewInjector()
 	in.Tracer = obs.NewTracer(&buf)
-	r, err := in.Campaign(cfg, p, nil)
-	if err != nil {
-		t.Fatal(err)
+	var results []*Result
+	campaign := func(cfg Config, hf func(*prog.Program) sim.CommitHook) {
+		t.Helper()
+		r, err := in.Campaign(cfg, p, hf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
 	}
-	if _, err := in.Campaign(cfg, p, nil); err != nil {
-		t.Fatal(err)
-	}
+	campaign(cfg, nil)
+	campaign(cfg, nil)
+	campaign(hooked, boundsHook(1<<20))
+	setInterval(t, 0)
+	campaign(cold, nil)
 	if err := in.Tracer.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("trace holds %d records, want 2:\n%s", len(lines), buf.String())
+	if len(lines) != len(results) {
+		t.Fatalf("trace holds %d records, want %d:\n%s", len(lines), len(results), buf.String())
 	}
-	var recs []campaignRecord
-	for _, l := range lines {
+	want := []struct{ source, path string }{
+		{"run", "packed"}, {"cache", ""}, {"run", "warm"}, {"run", "cold"},
+	}
+	for i, l := range lines {
 		var rec campaignRecord
 		if err := json.Unmarshal([]byte(l), &rec); err != nil {
 			t.Fatalf("trace line %q is not JSON: %v", l, err)
 		}
-		recs = append(recs, rec)
-	}
-	if recs[0].Source != "run" || recs[1].Source != "cache" {
-		t.Fatalf("sources = %q, %q; want run then cache", recs[0].Source, recs[1].Source)
-	}
-	for i, rec := range recs {
+		if rec.Source != want[i].source || rec.Path != want[i].path {
+			t.Fatalf("record %d: source %q path %q, want %q %q", i, rec.Source, rec.Path,
+				want[i].source, want[i].path)
+		}
+		if want[i].path == "" && strings.Contains(l, `"path"`) {
+			t.Fatalf("record %d: cache hit carries a path field: %s", i, l)
+		}
+		r := results[i]
 		if rec.Type != "campaign" || rec.Bench != "tiny" || rec.Core != "InO" {
 			t.Fatalf("record %d identity wrong: %+v", i, rec)
 		}

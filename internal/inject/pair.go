@@ -48,8 +48,11 @@ func (in *Injector) RunPair(c sim.Core, p *prog.Program, bitA, bitB, cycle, nomC
 // from the reference trajectory's nearest snapshot, flips both bits at the
 // injection cycle, and applies convergence pruning at every checkpoint
 // boundary. The (Outcome, detectCycle) is identical to RunPair's for the
-// same (bitA, bitB, cycle); hook-carrying runs fall back to the exact
-// from-reset path for the same reason RunOneFrom's do.
+// same (bitA, bitB, cycle). Hook-carrying runs warm-start under the same
+// commit-stream guard as RunOneFrom's, and hookFactory must obey the same
+// contract: fresh state per call, a verdict that is a deterministic
+// function of the program and the events seen so far, and silence on the
+// fault-free run.
 //
 // The package-level function counts against the default injection scope;
 // use the Injector method to attribute the injection to a specific scope.
@@ -121,25 +124,10 @@ func (in *Injector) RunPairs(cfg PairConfig, p *prog.Program, pairs [][2]int,
 			return nil, fmt.Errorf("inject: pair %v outside the %d-bit flip-flop space", pr, nBits)
 		}
 	}
-	var ref *Reference
-	var nomRes prog.Result
-	if hookFactory == nil && CheckpointInterval > 0 {
-		var err error
-		ref, nomRes, err = BuildReference(cfg.Core, p, CheckpointInterval, nomBudget)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		nom := NewCore(cfg.Core, p)
-		if hookFactory != nil {
-			nom.SetCommitHook(hookFactory(p))
-		}
-		nomRes = nom.Run(nomBudget)
+	ref, nomCycles, _, err := nominalRun(cfg.Core, p, cfg.Bench, cfg.Tag, hookFactory)
+	if err != nil {
+		return nil, err
 	}
-	if nomRes.Status != prog.StatusHalted || !p.OutputsEqual(nomRes.Output) {
-		return nil, fmt.Errorf("inject: nominal run of %s/%s failed: %v", cfg.Bench, cfg.Tag, nomRes.Status)
-	}
-	nomCycles := nomRes.Steps
 
 	res := &PairResult{
 		Config:    cfg,
@@ -160,6 +148,7 @@ func (in *Injector) RunPairs(cfg PairConfig, p *prog.Program, pairs [][2]int,
 		go func() {
 			defer wg.Done()
 			core := NewCore(cfg.Core, p)
+			g := newCommitGuard(hookFactory, ref, p)
 			local := make([]Counts, len(pairs))
 			var totals Counts
 			var latSum, latN int64
@@ -168,8 +157,8 @@ func (in *Injector) RunPairs(cfg PairConfig, p *prog.Program, pairs [][2]int,
 					for s := 0; s < cfg.SamplesPerPair; s++ {
 						h := splitmix64(cfg.Seed ^ uint64(pi)<<20 ^ uint64(s))
 						cycle := int(h % uint64(nomCycles))
-						out, det := in.RunPairFrom(core, p, ref, pairs[pi][0], pairs[pi][1],
-							cycle, nomCycles, hookFactory)
+						out, det := in.runScenarioFrom(core, p, ref,
+							pairScenario(pairs[pi][0], pairs[pi][1]), cycle, nomCycles, g)
 						if out == ED && det >= cycle {
 							latSum += int64(det - cycle)
 							latN++

@@ -40,8 +40,9 @@ func TestRunPairFromEquivalence(t *testing.T) {
 					kind, bitA, bitB, cycle, o1, d1, o2, d2)
 			}
 		}
-		// hook-carrying pair injections must keep the exact from-reset path
-		// (stateful hooks cannot warm-start) and still agree
+		// hook-carrying pair injections warm-start under the commit-stream
+		// guard (a stateful hook sees the replayed reference prefix) and
+		// must still agree
 		for s := 0; s < 40; s++ {
 			h := splitmix64(uint64(s) ^ 0xD0B1E)
 			bitA := int(h % uint64(nBits))

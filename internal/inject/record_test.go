@@ -38,18 +38,21 @@ func runSinkPair(t *testing.T, cfg Config, hookFactory func(*prog.Program) sim.C
 
 // TestSinkDoesNotChangeResults is the attribution contract's equivalence
 // half: attaching a RecordSink must change no campaign outcome, no Result
-// field, and no cache byte, on both the warm-started and the hooked
-// (cold, from-reset) paths.
+// field, and no cache byte, on the warm-started path, with and without a
+// commit hook, and on the hooked from-reset path (checkpointing off).
 func TestSinkDoesNotChangeResults(t *testing.T) {
 	cfg := Config{Core: InO, Bench: "tiny-sink", Tag: "base", SamplesPerFF: 2, Seed: 0xC1EA5}
 	for _, tc := range []struct {
-		name string
-		hook func(*prog.Program) sim.CommitHook
+		name     string
+		hook     func(*prog.Program) sim.CommitHook
+		interval int
 	}{
-		{"warm", nil},
-		{"hooked-cold", boundsHook(1 << 30)},
+		{"warm", nil, CheckpointInterval},
+		{"hooked-warm", boundsHook(1 << 30), CheckpointInterval},
+		{"hooked-cold", boundsHook(1 << 30), 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			setInterval(t, tc.interval)
 			plain, sunk, recs := runSinkPair(t, cfg, tc.hook)
 			if !reflect.DeepEqual(plain, sunk) {
 				t.Fatalf("results differ with sink attached:\nplain: %+v\nsunk:  %+v", plain, sunk)

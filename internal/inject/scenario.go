@@ -100,6 +100,10 @@ func runScenarioColdObs(in *Injector, c sim.Core, p *prog.Program, sc Scenario, 
 // the last delayed flip lands is not provably Vanished, because the flip
 // still to come would diverge it again.
 //
+// A hooked run warm-starts under the same commit-stream guard and
+// hookFactory contract as RunOneFrom's; a nil or checkpoint-less ref
+// replays from reset.
+//
 // When the injector carries a record sink, one attribution Record is
 // emitted per executed scenario, with Bit = the first-applied flip. An
 // empty scenario latches nothing and emits nothing.
@@ -114,29 +118,36 @@ func RunScenarioFrom(c sim.Core, p *prog.Program, ref *Reference, sc Scenario, c
 // RunScenarioFrom is the scoped form of the package-level RunScenarioFrom.
 func (in *Injector) RunScenarioFrom(c sim.Core, p *prog.Program, ref *Reference, sc Scenario,
 	cycle, nomCycles int, hookFactory func(*prog.Program) sim.CommitHook) (Outcome, int) {
+	return in.runScenarioFrom(c, p, ref, sc, cycle, nomCycles, newCommitGuard(hookFactory, ref, p))
+}
+
+// runScenarioFrom is RunScenarioFrom with the caller's guard, so a campaign
+// worker reuses one guard across all of its injections.
+func (in *Injector) runScenarioFrom(c sim.Core, p *prog.Program, ref *Reference, sc Scenario,
+	cycle, nomCycles int, g *commitGuard) (Outcome, int) {
 	in.injTotal.Add(1)
 	if len(sc) == 0 {
 		return Vanished, -1
 	}
-	if hookFactory != nil || ref == nil || ref.Interval <= 0 || len(ref.Ckpts) == 0 {
-		return runScenarioColdObs(in, c, p, sc, cycle, nomCycles, hookFactory)
+	if !ref.usable() {
+		return runScenarioColdObs(in, c, p, sc, cycle, nomCycles, g.factory())
 	}
-	return in.runScenarioWarm(c, p, ref, sc, cycle, nomCycles)
+	return in.runScenarioWarm(c, p, ref, sc, cycle, nomCycles, g)
 }
 
 // runScenarioWarm is the warm-started scenario injection body shared by
-// RunScenarioFrom and the packed engine's spill replays (batch.go); the
-// caller has already tallied the injection, ruled out the cold fallback,
-// and ensured the scenario is non-empty.
+// RunScenarioFrom and the packed engine's spill replays (batch.go, where g
+// is nil); the caller has already tallied the injection, ruled out the
+// cold fallback, and ensured the scenario is non-empty.
 func (in *Injector) runScenarioWarm(c sim.Core, p *prog.Program, ref *Reference, sc Scenario,
-	cycle, nomCycles int) (Outcome, int) {
+	cycle, nomCycles int, g *commitGuard) (Outcome, int) {
 	maxDelay := sc.normalize()
 	idx := cycle / ref.Interval
 	if idx >= len(ref.Ckpts) {
 		idx = len(ref.Ckpts) - 1
 	}
 	c.Restore(ref.Ckpts[idx])
-	c.SetCommitHook(nil)
+	g.arm(c, idx)
 	for c.Cycles() < cycle && !c.Done() {
 		c.Step()
 	}
@@ -152,7 +163,7 @@ func (in *Injector) runScenarioWarm(c sim.Core, p *prog.Program, ref *Reference,
 		}
 		applied += sc.applyAt(c, applied, off)
 	}
-	out, det := in.finishInjected(c, p, ref, cycle, nomCycles)
+	out, det := in.finishInjected(c, p, ref, cycle, nomCycles, g)
 	if sinkOn {
 		in.emit(rec, out, det)
 	}

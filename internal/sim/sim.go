@@ -22,6 +22,17 @@ type CommitEvent struct {
 // CommitHook observes retiring instructions; returning true signals that an
 // architecture-level checker detected an error, ending the run with
 // prog.StatusDetected.
+//
+// The fault-injection engine (internal/inject) warm-starts hooked runs
+// from a fault-free reference and runs the checker only once the commit
+// stream deviates from the reference's recorded one, replaying the
+// reference prefix into it first. That is exact for checkers that keep
+// this contract:
+//   - each call of a hook factory returns a checker with fresh state;
+//   - the verdict is a deterministic function of the program and the
+//     events seen so far (no clocks, globals or shared state);
+//   - the checker stays silent on the fault-free run (inject.Run and
+//     inject.RunPairs reject a campaign whose nominal run it flags).
 type CommitHook func(ev CommitEvent) bool
 
 // InFlightInst describes one instruction occupying a pipeline structure at a
